@@ -32,7 +32,7 @@
 //     connection — overlap instead of serializing;
 //   - safe retries for *every* request, mutating ones included: each
 //     logical sub-request is stamped with a fresh random idempotency key
-//     (the v2 wire extension) that stays constant across its retries, so
+//     (the request extension) that stays constant across its retries, so
 //     the server's dedup cache replays — never re-executes — a mutation
 //     whose ACK was lost. Transport failures and kOverloaded responses
 //     retry under capped exponential backoff with jitter, bounded by

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "src/sql/ast.h"
+#include "src/sql/parser.h"
 
 namespace wre::net {
 
@@ -31,9 +32,10 @@ constexpr size_t kMaxBatchRequests = 64;
 /// re-reports whatever is left).
 constexpr size_t kReadBudgetBytes = 256u << 10;
 
-/// Conservative write detection for ExecSql: only statements that are
-/// syntactically reads take the shared lock; everything else (INSERT,
-/// CREATE, and any future statement kind) is treated as a write.
+/// Conservative write detection for ExecSql dedup, without parsing: only
+/// statements that are syntactically reads skip the idempotency cache;
+/// everything else (INSERT, CREATE, and any future statement kind) is
+/// treated as a write.
 bool is_read_sql(std::string_view sql) {
   size_t i = 0;
   while (i < sql.size() && std::isspace(static_cast<unsigned char>(sql[i]))) {
@@ -80,9 +82,7 @@ Server::Server(sql::Database& db, ServerOptions options)
     : db_(db),
       options_(std::move(options)),
       listener_(options_.host, options_.port),
-      dedup_(options_.dedup),
-      batcher_(QueryBatcher::Options{options_.batch_window_ms,
-                                     options_.batch_max}) {}
+      dedup_(options_.dedup) {}
 
 Server::~Server() { stop(); }
 
@@ -448,6 +448,7 @@ void Server::conn_readable(Conn* c) {
     if (n < 0) break;  // EAGAIN: drained the socket
     if (n == 0) {
       c->saw_eof = true;
+      parse_frames(c);  // reports a frame the hangup cut short
       break;
     }
     got_any = true;
@@ -461,8 +462,7 @@ void Server::conn_readable(Conn* c) {
   if (c->dead) return;
   if (c->saw_eof && c->pending.empty() && !c->worker_active &&
       c->outbuf_off >= c->outbuf.size()) {
-    // Clean hangup between frames — or mid-frame, which closes silently
-    // exactly like the blocking server did.
+    // Clean hangup between frames.
     kill_conn(c);
     return;
   }
@@ -514,39 +514,26 @@ void Server::parse_frames(Conn* c) {
       push_fatal(e);
       break;
     }
-    size_t need = kFrameHeaderBytes;
-    // A v2 frame interposes the request extension (ext_len byte + body)
-    // between header and payload. An ext_len outside the sane range means
-    // the stream is garbage, not just this request — treat like a bad
-    // header.
-    RequestExt ext;
-    if (fh.version == kWireVersionExt) {
-      if (avail < need + 1) break;
-      const uint8_t ext_len = p[need];
-      ++need;
-      if (ext_len < kRequestExtBytes || ext_len > kMaxRequestExtBytes) {
-        push_fatal(NetworkError(
-            "wire: request extension length " + std::to_string(ext_len) +
-            " outside [" + std::to_string(kRequestExtBytes) + ", " +
-            std::to_string(kMaxRequestExtBytes) + "]"));
-        break;
-      }
-      if (avail < need + ext_len) break;
-      try {
-        ext = parse_request_ext(ByteView(p + need, ext_len));
-      } catch (const std::exception& e) {
-        push_fatal(e);
-        break;
-      }
-      need += ext_len;
-    }
-    if (avail - need < fh.payload_length) break;  // wait for the payload
+    // Every request carries the fixed extension right after the header.
+    const size_t need = kFrameHeaderBytes + kRequestExtensionBytes;
+    if (avail < need + fh.payload_length) break;  // wait for the rest
     PendingRequest req;
     req.op = fh.opcode;
-    req.ext = ext;
+    req.ext = parse_request_ext(
+        ByteView(p + kFrameHeaderBytes, kRequestExtensionBytes));
     req.payload.assign(p + need, p + need + fh.payload_length);
     c->pending.push_back(std::move(req));
     c->inbuf_off += need + fh.payload_length;
+  }
+  // The peer half-closed inside a frame (header, extension or payload):
+  // that request can never complete, so answer it as malformed. At the
+  // pending cap, inbuf may still hold whole frames, so nothing is judged.
+  if (c->saw_eof && !c->parse_dead &&
+      c->pending.size() < options_.max_pipelined_requests &&
+      c->inbuf_off < c->inbuf.size()) {
+    push_fatal(NetworkError(
+        "wire: connection closed inside a request frame (" +
+        std::to_string(c->inbuf.size() - c->inbuf_off) + " bytes received)"));
   }
   if (c->inbuf_off == c->inbuf.size()) {
     c->inbuf.clear();
@@ -820,6 +807,24 @@ std::unique_lock<std::shared_timed_mutex> Server::lock_unique(
   return lock;
 }
 
+Frame Server::execute_read(const sql::SelectStmt& stmt, uint32_t deadline_ms) {
+  sql::ResultSet rs;
+  {
+    auto lock = lock_shared(deadline_ms);
+    // Columnar late materialization: a scan-planned SELECT encodes its
+    // response straight from the column segment — the rows never exist as
+    // sql::Value objects on the server.
+    Bytes payload;
+    if (db_.execute_select_wire(stmt, &payload)) {
+      return Frame{Opcode::kOkResult, std::move(payload)};
+    }
+    rs = db_.execute_select(stmt);
+  }
+  WireWriter w;
+  encode_result_set(rs, w);
+  return Frame{Opcode::kOkResult, std::move(w.bytes())};
+}
+
 Frame Server::handle_request(Opcode op, ByteView payload,
                              uint32_t deadline_ms) {
   WireReader r(payload);
@@ -838,30 +843,21 @@ Frame Server::handle_request(Opcode op, ByteView payload,
     case Opcode::kExecSql: {
       std::string sql = r.string();
       r.expect_end();
-      sql::ResultSet rs;
-      if (is_read_sql(sql)) {
-        auto lock = lock_shared(deadline_ms);
-        // Columnar late materialization: a scan-planned SELECT encodes its
-        // response straight from the column segment — the rows never exist
-        // as sql::Value objects on the server. Falls through to the
-        // ResultSet path for every other plan.
-        Bytes payload;
-        if (db_.execute_sql_wire(sql, &payload)) {
-          return Frame{Opcode::kOkResult, std::move(payload)};
-        }
-        rs = db_.execute(sql);
-      } else {
-        storage::CommitHandle commit;
-        {
-          auto lock = lock_unique(deadline_ms);
-          rs = db_.execute(sql);
-          commit = db_.commit_async();
-        }
-        // Group commit: wait AFTER releasing the write lock, so the next
-        // writer's work (and its commit) overlaps this fsync — the log
-        // writer batches every queued commit into one sync.
-        commit.wait();
+      sql::Statement stmt = sql::parse_statement(sql);
+      if (const auto* select = std::get_if<sql::SelectStmt>(&stmt)) {
+        return execute_read(*select, deadline_ms);
       }
+      sql::ResultSet rs;
+      storage::CommitHandle commit;
+      {
+        auto lock = lock_unique(deadline_ms);
+        rs = db_.execute(stmt);
+        commit = db_.commit_async();
+      }
+      // Group commit: wait AFTER releasing the write lock, so the next
+      // writer's work (and its commit) overlaps this fsync — the log
+      // writer batches every queued commit into one sync.
+      commit.wait();
       encode_result_set(rs, w);
       return Frame{Opcode::kOkResult, std::move(w.bytes())};
     }
@@ -957,46 +953,15 @@ Frame Server::handle_request(Opcode op, ByteView payload,
       if (!star) stmt.columns = {"id"};
       stmt.table = table;
       stmt.where = sql::Expr::in_list(tag_column, std::move(tags));
-      // With batching enabled, scans landing in the same window execute
-      // under ONE shared-lock acquisition (the batch leader's); each item
-      // still gets its own result (or error). Disabled, run() degenerates
-      // to exactly the old lock-and-execute path.
-      sql::ResultSet rs = batcher_.run(
-          stmt, [this, deadline_ms](std::vector<QueryBatcher::Item*>& batch) {
-            auto lock = lock_shared(deadline_ms);
-            for (QueryBatcher::Item* it : batch) {
-              try {
-                it->result = db_.execute_select(*it->stmt);
-              } catch (...) {
-                it->error = std::current_exception();
-              }
-            }
-          });
-      encode_result_set(rs, w);
-      return Frame{Opcode::kOkResult, std::move(w.bytes())};
+      return execute_read(stmt, deadline_ms);
     }
     case Opcode::kScanTable: {
-      std::string table = r.string();
+      // A table scan is SELECT * with no predicate.
+      sql::SelectStmt stmt;
+      stmt.star = true;
+      stmt.table = sql::to_lower(r.string());
       r.expect_end();
-      auto lock = lock_shared(deadline_ms);
-      // A table scan is SELECT * with no predicate — the columnar wire
-      // fast path applies whenever a segment is available.
-      sql::SelectStmt star_stmt;
-      star_stmt.star = true;
-      star_stmt.table = sql::to_lower(table);
-      Bytes payload;
-      if (db_.execute_select_wire(star_stmt, &payload)) {
-        return Frame{Opcode::kOkResult, std::move(payload)};
-      }
-      sql::Table& t = db_.table(table);
-      sql::ResultSet rs;
-      for (const sql::Column& c : t.schema().columns()) {
-        rs.columns.push_back(c.name);
-      }
-      rs.rows.reserve(t.row_count());
-      t.scan([&](int64_t, const sql::Row& row) { rs.rows.push_back(row); });
-      encode_result_set(rs, w);
-      return Frame{Opcode::kOkResult, std::move(w.bytes())};
+      return execute_read(stmt, deadline_ms);
     }
     default:
       throw NetworkError("wire: opcode " + std::string(opcode_name(op)) +

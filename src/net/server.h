@@ -28,7 +28,7 @@
 //     hot-spinning while the peer hangs in the backlog;
 //   - admission control: beyond max_connections live sessions, new
 //     connections are shed with a retryable kOverloaded error frame;
-//   - per-request deadlines (server flag and/or the client's v2 request
+//   - per-request deadlines (server flag and/or the client's request
 //     extension) bound how long a request may wait for the database lock;
 //     expiry sheds the request with kOverloaded *before* it executes;
 //   - a DedupCache keyed by (tenant, idempotency key) replays recorded
@@ -66,7 +66,6 @@
 #include <vector>
 
 #include "src/net/dedup_cache.h"
-#include "src/net/query_batcher.h"
 #include "src/net/socket.h"
 #include "src/net/wire.h"
 #include "src/sql/database.h"
@@ -109,13 +108,6 @@ struct ServerOptions {
   /// cache is keyed by (tenant id, idempotency key): one tenant's retries
   /// can never replay another tenant's recorded responses.
   DedupCache::Options dedup;
-  /// Opt-in cross-tenant query batching (see query_batcher.h): kTagScan
-  /// requests arriving within this window share one lock acquisition.
-  /// 0 (the default) disables batching. Trades up to window_ms of added
-  /// latency for throughput near saturation — bench_scale measures both.
-  uint32_t batch_window_ms = 0;
-  /// Batch size that closes a batching window early.
-  size_t batch_max = 64;
   /// Backpressure: per-connection cap on parsed-but-unexecuted pipelined
   /// requests. Past it the server stops reading that connection until its
   /// queue drains.
@@ -166,11 +158,6 @@ class Server {
   uint64_t dedup_hits() const { return dedup_.hits(); }
   /// Live connections right now (admission-control gauge).
   uint64_t live_sessions() const { return live_sessions_.load(); }
-  /// Batched tag-scan executions (each covered >= 1 query); 0 when
-  /// batching is disabled.
-  uint64_t query_batches() const { return batcher_.batches(); }
-  /// Tag scans that actually shared a batch with another query.
-  uint64_t tag_scans_coalesced() const { return batcher_.coalesced(); }
 
  private:
   /// One parsed request, or a pre-formed response from the frame parser
@@ -259,6 +246,10 @@ class Server {
   /// `deadline_ms` (0 = none) bounds the db-lock wait; expiry throws
   /// OverloadedError before any state changes.
   Frame handle_request(Opcode op, ByteView payload, uint32_t deadline_ms);
+  /// The one read path (kExecSql SELECT/EXPLAIN, kTagScan, kScanTable):
+  /// under the shared lock, the columnar wire encoding when the plan is a
+  /// columnar scan, else execute_select + encode_result_set.
+  Frame execute_read(const sql::SelectStmt& stmt, uint32_t deadline_ms);
   /// Timed db_mu_ acquisition; throws OverloadedError when the deadline
   /// passes first (and counts it in deadline_rejects_).
   std::shared_lock<std::shared_timed_mutex> lock_shared(uint32_t deadline_ms);
@@ -304,9 +295,6 @@ class Server {
   /// Idempotency-key replay cache (exactly-once retried mutations),
   /// keyed by (tenant, key).
   DedupCache dedup_;
-
-  /// Opt-in cross-tenant kTagScan batching (disabled at window 0).
-  QueryBatcher batcher_;
 
   std::atomic<uint64_t> sessions_accepted_{0};
   std::atomic<uint64_t> frames_served_{0};

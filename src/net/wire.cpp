@@ -60,14 +60,22 @@ void rethrow_status(StatusCode code, const std::string& message) {
   throw Error(message);
 }
 
-Bytes encode_frame(Opcode opcode, ByteView payload) {
-  Bytes out;
-  out.reserve(kFrameHeaderBytes + payload.size());
+namespace {
+
+void put_header(Bytes& out, Opcode opcode, size_t payload_size) {
   out.push_back(kMagic0);
   out.push_back(kMagic1);
   out.push_back(kWireVersion);
   out.push_back(static_cast<uint8_t>(opcode));
-  store_le32(out, static_cast<uint32_t>(payload.size()));
+  store_le32(out, static_cast<uint32_t>(payload_size));
+}
+
+}  // namespace
+
+Bytes encode_frame(Opcode opcode, ByteView payload) {
+  Bytes out;
+  out.reserve(kFrameHeaderBytes + payload.size());
+  put_header(out, opcode, payload.size());
   append(out, payload);
   return out;
 }
@@ -75,16 +83,9 @@ Bytes encode_frame(Opcode opcode, ByteView payload) {
 Bytes encode_request_frame(Opcode opcode, ByteView payload,
                            const RequestExt& ext) {
   Bytes out;
-  out.reserve(kFrameHeaderBytes + 1 + kRequestExtTenantBytes + payload.size());
-  out.push_back(kMagic0);
-  out.push_back(kMagic1);
-  out.push_back(kWireVersionExt);
-  out.push_back(static_cast<uint8_t>(opcode));
-  store_le32(out, static_cast<uint32_t>(payload.size()));
-  out.push_back(static_cast<uint8_t>(kRequestExtTenantBytes));
-  uint8_t flags = ext.has_key ? 0x01 : 0x00;
-  flags |= 0x02;  // tenant id field present
-  out.push_back(flags);
+  out.reserve(kFrameHeaderBytes + kRequestExtensionBytes + payload.size());
+  put_header(out, opcode, payload.size());
+  out.push_back(ext.has_key ? 0x01 : 0x00);  // flags
   out.push_back(0);  // reserved
   out.push_back(0);
   store_le32(out, ext.deadline_ms);
@@ -95,22 +96,17 @@ Bytes encode_request_frame(Opcode opcode, ByteView payload,
 }
 
 RequestExt parse_request_ext(ByteView body) {
-  if (body.size() < kRequestExtBytes) {
+  if (body.size() != kRequestExtensionBytes) {
     throw NetworkError("wire: request extension of " +
                        std::to_string(body.size()) + " bytes, need " +
-                       std::to_string(kRequestExtBytes));
+                       std::to_string(kRequestExtensionBytes));
   }
   RequestExt ext;
   ext.has_key = (body[0] & 0x01) != 0;
   // body[1..2] reserved.
   ext.deadline_ms = load_le32(body.data() + 3);
   std::copy_n(body.begin() + 7, ext.key.size(), ext.key.begin());
-  // Tenant id: optional growth — a 23-byte body from an older client (or a
-  // body without flag bit 1) is the default tenant.
-  if ((body[0] & 0x02) != 0 && body.size() >= kRequestExtTenantBytes) {
-    ext.tenant_id = load_le64(body.data() + 23);
-  }
-  // Bytes past the known fields belong to a future revision: skip them.
+  ext.tenant_id = load_le64(body.data() + 23);
   return ext;
 }
 
@@ -119,9 +115,10 @@ FrameHeader decode_frame_header(const uint8_t (&header)[kFrameHeaderBytes],
   if (header[0] != kMagic0 || header[1] != kMagic1) {
     throw NetworkError("wire: bad frame magic");
   }
-  if (header[2] != kWireVersion && header[2] != kWireVersionExt) {
+  if (header[2] != kWireVersion) {
     throw NetworkError("wire: unsupported protocol version " +
-                       std::to_string(header[2]));
+                       std::to_string(header[2]) + " (this side speaks " +
+                       std::to_string(kWireVersion) + ")");
   }
   uint32_t length = load_le32(header + 4);
   if (length > max_frame_bytes) {
@@ -129,7 +126,7 @@ FrameHeader decode_frame_header(const uint8_t (&header)[kFrameHeaderBytes],
                        " bytes exceeds the " +
                        std::to_string(max_frame_bytes) + "-byte limit");
   }
-  return FrameHeader{static_cast<Opcode>(header[3]), length, header[2]};
+  return FrameHeader{static_cast<Opcode>(header[3]), length};
 }
 
 void WireReader::need(size_t n) const {

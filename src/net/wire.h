@@ -3,25 +3,27 @@
 //
 //   offset  size  field
 //   0       2     magic "WR"
-//   2       1     frame format version (kWireVersion / kWireVersionExt)
+//   2       1     frame format version (kWireVersion)
 //   3       1     opcode (request 0x01-0x7F, response 0x80-0xFF)
-//   4       4     payload length, little-endian
+//   4       4     payload length, little-endian (never counts the
+//                 request extension)
 //   8       n     payload (opcode-specific; see the Opcode table)
 //
-// Format version 2 (kWireVersionExt) inserts a request extension between
-// the header and the payload of *request* frames (responses never carry
-// one):
+// Every *request* frame carries a fixed 31-byte extension
+// (kRequestExtensionBytes) between the header and the payload; responses
+// never carry one:
 //
-//   8       1     ext_len — bytes of extension that follow (>= 23)
-//   9       1     flags (bit 0: idempotency key present,
-//                        bit 1: tenant id present)
-//   10      2     reserved (zero)
-//   12      4     request deadline in ms, little-endian (0 = none)
-//   16      16    idempotency key (client-generated, random)
-//   32      8     tenant id, little-endian (present when ext_len >= 31 and
-//                 flag bit 1 is set; 0 = the default single-tenant space)
-//   ...           future fields — receivers skip bytes past the ones they
-//                 know, so the extension can grow without a version bump
+//   8       1     flags (bit 0: idempotency key present)
+//   9       2     reserved (zero)
+//   11      4     request deadline in ms, little-endian (0 = none)
+//   15      16    idempotency key (client-generated, random)
+//   31      8     tenant id, little-endian (0 = the default single-tenant
+//                 space)
+//
+// There is one format: a frame whose version byte is not kWireVersion is
+// a fatal protocol error, and so is a request the peer's hangup cuts off
+// inside its header, extension or payload. Growing the extension or the
+// header therefore means bumping kWireVersion; no size field exists.
 //
 // The extension is what makes retries safe end-to-end: the client stamps
 // every request with a fresh random idempotency key, keeps the key constant
@@ -30,10 +32,7 @@
 // The deadline lets the server stop queueing for a request whose client has
 // already given up. The tenant id scopes the idempotency key: the dedup
 // cache is keyed by (tenant, key), so one tenant can never replay — or
-// poison — another tenant's recorded responses. Servers accept both formats
-// (a v1 frame simply has no key, no deadline and tenant 0), and a 23-byte
-// v2 extension from an older client parses as tenant 0, so old clients keep
-// working.
+// poison — another tenant's recorded responses.
 //
 // Integers are little-endian; strings and blobs are a u32 length followed by
 // raw bytes; sql::Value / sql::Schema use their own wire_encode hooks. All
@@ -61,20 +60,12 @@ namespace wre::net {
 
 inline constexpr uint8_t kMagic0 = 'W';
 inline constexpr uint8_t kMagic1 = 'R';
-/// Base frame format: header + payload.
-inline constexpr uint8_t kWireVersion = 1;
-/// Extended format: header + request extension + payload (requests only).
-inline constexpr uint8_t kWireVersionExt = 2;
+/// The frame format version. Versions 1 and 2 were earlier layouts that
+/// this side no longer reads.
+inline constexpr uint8_t kWireVersion = 3;
 inline constexpr size_t kFrameHeaderBytes = 8;
-/// Minimum extension bytes following the ext_len byte in a v2 request frame
-/// (the original flags + deadline + idempotency-key form).
-inline constexpr size_t kRequestExtBytes = 23;
-/// Extension size including the trailing tenant id — what current clients
-/// encode. Receivers treat the tenant field as optional growth: a 23-byte
-/// body still parses (as tenant 0).
-inline constexpr size_t kRequestExtTenantBytes = 31;
-/// Sanity ceiling on ext_len (future growth stays small and fixed-size).
-inline constexpr size_t kMaxRequestExtBytes = 64;
+/// The request extension that follows the header of every request frame.
+inline constexpr size_t kRequestExtensionBytes = 31;
 /// Default ceiling on one frame's payload. Requests above it are rejected
 /// without being read — the server's backpressure limit against hostile or
 /// buggy clients allocating unbounded memory server-side.
@@ -142,7 +133,7 @@ struct Frame {
   Bytes payload;
 };
 
-/// The v2 per-request extension (see the format comment above).
+/// The per-request extension (see the format comment above).
 struct RequestExt {
   bool has_key = false;
   std::array<uint8_t, 16> key{};
@@ -150,31 +141,27 @@ struct RequestExt {
   /// The server bounds its own queueing/lock waits by it.
   uint32_t deadline_ms = 0;
   /// The tenant this request acts for. 0 is the default single-tenant
-  /// space (and what pre-tenant clients implicitly send). Scopes the
-  /// server's idempotency cache; carries no cryptographic authority — keys
-  /// never cross the wire, so a mislabelled tenant can only talk to tag
-  /// integers it cannot forge matches for.
+  /// space. Scopes the server's idempotency cache; carries no
+  /// cryptographic authority — keys never cross the wire, so a mislabelled
+  /// tenant can only talk to tag integers it cannot forge matches for.
   uint64_t tenant_id = 0;
 };
 
-/// Renders a base (v1) frame: header + payload, ready for send().
+/// Renders a response frame: header + payload, ready for send().
 Bytes encode_frame(Opcode opcode, ByteView payload);
 
-/// Renders a v2 request frame: header + extension + payload.
+/// Renders a request frame: header + extension + payload.
 Bytes encode_request_frame(Opcode opcode, ByteView payload,
                            const RequestExt& ext);
 
-/// Decodes the extension body (the bytes following ext_len). Unknown
-/// trailing bytes are ignored; a body shorter than kRequestExtBytes throws.
+/// Decodes the kRequestExtensionBytes extension that follows a request
+/// header. Throws NetworkError unless `body` is exactly that long.
 RequestExt parse_request_ext(ByteView body);
 
 /// Parsed and validated frame header.
 struct FrameHeader {
   Opcode opcode;
   uint32_t payload_length = 0;
-  /// kWireVersion or kWireVersionExt — tells the receiver whether a request
-  /// extension follows the header.
-  uint8_t version = kWireVersion;
 };
 
 /// Validates magic, version and length (<= max_frame_bytes). Throws

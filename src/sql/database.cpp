@@ -222,7 +222,10 @@ std::vector<int64_t> Database::insert_batch(const std::string& table_name,
 }
 
 ResultSet Database::execute(std::string_view sql) {
-  Statement stmt = parse_statement(sql);
+  return execute(parse_statement(sql));
+}
+
+ResultSet Database::execute(const Statement& stmt) {
   return std::visit(
       [&](auto&& s) -> ResultSet {
         using T = std::decay_t<decltype(s)>;
@@ -596,14 +599,6 @@ bool Database::execute_select_wire(const SelectStmt& stmt, Bytes* out) {
   store_le64(*out, 0);  // heap_fetches
   out->push_back(0);    // used_index
   return true;
-}
-
-bool Database::execute_sql_wire(std::string_view sql, Bytes* out) {
-  if (!columnar_enabled_ || columnar_mgr_ == nullptr) return false;
-  Statement stmt = parse_statement(sql);
-  auto* select = std::get_if<SelectStmt>(&stmt);
-  if (select == nullptr) return false;
-  return execute_select_wire(*select, out);
 }
 
 void Database::clear_cache() {

@@ -98,6 +98,8 @@ class Database {
 
   /// Parses and executes one SQL statement.
   ResultSet execute(std::string_view sql);
+  /// Executes an already-parsed statement.
+  ResultSet execute(const Statement& stmt);
 
   /// Programmatic fast paths (used for bulk load; equivalent to SQL).
   Table& create_table(const std::string& name, Schema schema);
@@ -123,9 +125,6 @@ class Database {
   /// an index plan wins, or the statement is EXPLAIN/COUNT(*) — callers
   /// fall back to execute_select(). Same locking rules as execute_select.
   bool execute_select_wire(const SelectStmt& stmt, Bytes* out);
-
-  /// execute_select_wire over SQL text; non-SELECT statements return false.
-  bool execute_sql_wire(std::string_view sql, Bytes* out);
 
   /// Drops every cached page: the next query runs cold. Reproduces the
   /// paper's drop_caches + server-restart procedure.

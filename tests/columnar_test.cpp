@@ -439,6 +439,14 @@ TEST_F(ColumnarDbTest, MinRowsKeepsSmallTablesOnRowPath) {
 
 // ------------------------------------------------------ Wire-path fast path
 
+// Parses `sql` and offers it to the wire fast path, as the server's
+// kExecSql handler does; a statement that is not a SELECT never gets there.
+bool select_wire(sql::Database& db, const char* sql, Bytes* out) {
+  sql::Statement stmt = sql::parse_statement(sql);
+  const auto* select = std::get_if<sql::SelectStmt>(&stmt);
+  return select != nullptr && db.execute_select_wire(*select, out);
+}
+
 TEST_F(ColumnarDbTest, WireFastPathIsByteIdenticalToEncodedResultSet) {
   const char* shapes[] = {
       "SELECT * FROM t",
@@ -447,7 +455,7 @@ TEST_F(ColumnarDbTest, WireFastPathIsByteIdenticalToEncodedResultSet) {
   };
   for (const char* sql : shapes) {
     Bytes fast;
-    ASSERT_TRUE(db_->execute_sql_wire(sql, &fast)) << sql;
+    ASSERT_TRUE(select_wire(*db_, sql, &fast)) << sql;
     net::WireWriter w;
     net::encode_result_set(db_->execute(sql), w);
     EXPECT_EQ(fast, w.bytes()) << sql;
@@ -457,17 +465,16 @@ TEST_F(ColumnarDbTest, WireFastPathIsByteIdenticalToEncodedResultSet) {
 TEST_F(ColumnarDbTest, WireFastPathDeclinesWhatItCannotServe) {
   Bytes out;
   // Non-SELECT, EXPLAIN and COUNT(*) fall back to the general executor.
-  EXPECT_FALSE(db_->execute_sql_wire("INSERT INTO t VALUES (200, 'x', 1)",
-                                     &out));
-  EXPECT_FALSE(db_->execute_sql_wire("EXPLAIN SELECT * FROM t", &out));
-  EXPECT_FALSE(db_->execute_sql_wire("SELECT COUNT(*) FROM t", &out));
+  EXPECT_FALSE(select_wire(*db_, "INSERT INTO t VALUES (200, 'x', 1)", &out));
+  EXPECT_FALSE(select_wire(*db_, "EXPLAIN SELECT * FROM t", &out));
+  EXPECT_FALSE(select_wire(*db_, "SELECT COUNT(*) FROM t", &out));
   // An indexed probe plan wins over the columnar scan.
   db_->execute("CREATE INDEX i_city ON t (city)");
-  EXPECT_FALSE(db_->execute_sql_wire(
-      "SELECT * FROM t WHERE city = 'rome'", &out));
+  EXPECT_FALSE(
+      select_wire(*db_, "SELECT * FROM t WHERE city = 'rome'", &out));
   // Columnar off: never engages.
   db_->set_columnar_enabled(false);
-  EXPECT_FALSE(db_->execute_sql_wire("SELECT * FROM t", &out));
+  EXPECT_FALSE(select_wire(*db_, "SELECT * FROM t", &out));
   db_->set_columnar_enabled(true);
   EXPECT_TRUE(out.empty());  // every decline left the buffer untouched
 }

@@ -2,6 +2,7 @@
 // malformed-frame handling against a live server, RemoteConnection
 // transport semantics, and graceful drain.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <limits>
 #include <thread>
@@ -12,6 +13,7 @@
 #include "src/net/socket.h"
 #include "src/net/wire.h"
 #include "src/sql/database.h"
+#include "src/sql/parser.h"
 #include "tests/test_util.h"
 
 using namespace wre;
@@ -160,11 +162,15 @@ TEST(Wire, FrameHeaderValidation) {
   EXPECT_THROW(decode_frame_header(header, kDefaultMaxFrameBytes),
                NetworkError);
 
-  Bytes bad_version = good;
-  bad_version[2] = 99;
-  load(bad_version);
-  EXPECT_THROW(decode_frame_header(header, kDefaultMaxFrameBytes),
-               NetworkError);
+  // Every version but kWireVersion is refused, the retired 1 and 2
+  // included.
+  for (uint8_t version : {uint8_t{1}, uint8_t{2}, uint8_t{99}}) {
+    Bytes bad_version = good;
+    bad_version[2] = version;
+    load(bad_version);
+    EXPECT_THROW(decode_frame_header(header, kDefaultMaxFrameBytes),
+                 NetworkError);
+  }
 
   Bytes oversized = encode_frame(Opcode::kPing, Bytes(1024, 0));
   load(oversized);
@@ -183,47 +189,31 @@ TEST(Wire, RequestExtRoundTrip) {
   Bytes payload = {0xDE, 0xAD};
   Bytes frame = encode_request_frame(Opcode::kExecSql, payload, ext);
 
-  // header | ext_len | ext body | payload
+  // header | fixed extension | payload
   uint8_t header[kFrameHeaderBytes];
-  ASSERT_GE(frame.size(), kFrameHeaderBytes + 1 + kRequestExtTenantBytes);
+  ASSERT_EQ(frame.size(),
+            kFrameHeaderBytes + kRequestExtensionBytes + payload.size());
   std::copy_n(frame.begin(), kFrameHeaderBytes, header);
   FrameHeader fh = decode_frame_header(header, kDefaultMaxFrameBytes);
-  EXPECT_EQ(fh.version, kWireVersionExt);
   EXPECT_EQ(fh.opcode, Opcode::kExecSql);
   // payload_length counts the payload only, never the extension.
   EXPECT_EQ(fh.payload_length, payload.size());
 
-  size_t ext_len = frame[kFrameHeaderBytes];
-  ASSERT_EQ(ext_len, kRequestExtTenantBytes);
-  RequestExt back = parse_request_ext(
-      ByteView(frame.data() + kFrameHeaderBytes + 1, ext_len));
+  ByteView body(frame.data() + kFrameHeaderBytes, kRequestExtensionBytes);
+  RequestExt back = parse_request_ext(body);
   EXPECT_TRUE(back.has_key);
   EXPECT_EQ(back.key, ext.key);
   EXPECT_EQ(back.deadline_ms, 1234u);
   EXPECT_EQ(back.tenant_id, ext.tenant_id);
   EXPECT_EQ(Bytes(frame.end() - 2, frame.end()), payload);
 
-  // Unknown trailing ext bytes (future growth) are skipped, not rejected.
-  Bytes grown(frame.begin() + kFrameHeaderBytes + 1,
-              frame.begin() + kFrameHeaderBytes + 1 + kRequestExtTenantBytes);
-  grown.push_back(0x77);
-  RequestExt grown_back = parse_request_ext(grown);
-  EXPECT_EQ(grown_back.key, ext.key);
-  EXPECT_EQ(grown_back.tenant_id, ext.tenant_id);
-
-  // Back-compat: a 23-byte body from a pre-tenant client parses as tenant 0
-  // even with the tenant flag bit clear.
-  Bytes legacy(frame.begin() + kFrameHeaderBytes + 1,
-               frame.begin() + kFrameHeaderBytes + 1 + kRequestExtBytes);
-  legacy[0] &= static_cast<uint8_t>(~0x02);  // clear the tenant flag
-  RequestExt legacy_back = parse_request_ext(legacy);
-  EXPECT_EQ(legacy_back.key, ext.key);
-  EXPECT_EQ(legacy_back.tenant_id, 0u);
-
-  // Truncated extension bodies throw instead of reading garbage.
-  Bytes trunc(frame.begin() + kFrameHeaderBytes + 1,
-              frame.begin() + kFrameHeaderBytes + 1 + kRequestExtBytes - 1);
-  EXPECT_THROW(parse_request_ext(trunc), NetworkError);
+  // The extension has exactly one size: shorter or longer bodies throw
+  // instead of reading garbage or silently skipping bytes.
+  EXPECT_THROW(parse_request_ext(body.subspan(0, kRequestExtensionBytes - 1)),
+               NetworkError);
+  Bytes longer(body.begin(), body.end());
+  longer.push_back(0x77);
+  EXPECT_THROW(parse_request_ext(longer), NetworkError);
 }
 
 // ---------------------------------------------------------------------------
@@ -299,6 +289,34 @@ class NetServerTest : public ::testing::Test {
   std::unique_ptr<Server> server_;
 };
 
+// Reads one response frame: it must be kError with `code` and a message
+// containing `needle`.
+void expect_error_frame(Socket& s, StatusCode code, const std::string& needle) {
+  uint8_t header[kFrameHeaderBytes];
+  ASSERT_TRUE(s.recv_all_or_eof(header, sizeof(header)));
+  FrameHeader fh = decode_frame_header(header, kDefaultMaxFrameBytes);
+  ASSERT_EQ(fh.opcode, Opcode::kError);
+  Bytes body(fh.payload_length);
+  s.recv_all(body.data(), body.size());
+  WireReader r(body);
+  EXPECT_EQ(static_cast<StatusCode>(r.u16()), code);
+  std::string message = r.string();
+  EXPECT_NE(message.find(needle), std::string::npos) << message;
+}
+
+// The server closed the session: the next read sees EOF.
+void expect_closed(Socket& s) {
+  s.set_recv_timeout_ms(5000);
+  uint8_t byte;
+  EXPECT_FALSE(s.recv_all_or_eof(&byte, 1));
+}
+
+// Sends `bytes`, then half-closes so the server sees the hangup.
+void send_then_hang_up(Socket& s, const Bytes& bytes) {
+  s.send_all(bytes);
+  ASSERT_EQ(::shutdown(s.fd(), SHUT_WR), 0);
+}
+
 TEST_F(NetServerTest, PingAndBasicDdl) {
   RemoteConnection remote = client();
   remote.ping();
@@ -369,16 +387,10 @@ TEST_F(NetServerTest, MalformedFramesAreSurvivable) {
   // 1. Garbage magic.
   {
     Socket s = Socket::connect("127.0.0.1", server_->port());
-    Bytes junk = {'X', 'Y', 1, 1, 0, 0, 0, 0};
+    Bytes junk = {'X', 'Y', kWireVersion, 1, 0, 0, 0, 0};
     s.send_all(junk);
-    uint8_t header[kFrameHeaderBytes];
-    ASSERT_TRUE(s.recv_all_or_eof(header, sizeof(header)));
-    FrameHeader fh = decode_frame_header(header, kDefaultMaxFrameBytes);
-    EXPECT_EQ(fh.opcode, Opcode::kError);
-    Bytes body(fh.payload_length);
-    s.recv_all(body.data(), body.size());
-    WireReader r(body);
-    EXPECT_EQ(static_cast<StatusCode>(r.u16()), StatusCode::kNetwork);
+    expect_error_frame(s, StatusCode::kNetwork, "bad frame magic");
+    expect_closed(s);
   }
 
   // 2. Unsupported protocol version.
@@ -386,48 +398,46 @@ TEST_F(NetServerTest, MalformedFramesAreSurvivable) {
     Socket s = Socket::connect("127.0.0.1", server_->port());
     Bytes junk = {'W', 'R', 42, 1, 0, 0, 0, 0};
     s.send_all(junk);
-    uint8_t header[kFrameHeaderBytes];
-    ASSERT_TRUE(s.recv_all_or_eof(header, sizeof(header)));
-    EXPECT_EQ(decode_frame_header(header, kDefaultMaxFrameBytes).opcode,
-              Opcode::kError);
+    expect_error_frame(s, StatusCode::kNetwork,
+                       "unsupported protocol version 42");
+    expect_closed(s);
   }
 
   // 3. Oversized declared length (2x the server's 1 MiB cap): refused
   //    before the payload is read or allocated.
   {
     Socket s = Socket::connect("127.0.0.1", server_->port());
-    Bytes frame = {'W', 'R', kWireVersion, 1, 0, 0, 32, 0};  // 2 MiB, LE
+    Bytes frame = encode_request_frame(Opcode::kPing, {}, RequestExt{});
+    store_le32(frame.data() + 4, 2u << 20);  // 2 MiB declared
     s.send_all(frame);
-    uint8_t header[kFrameHeaderBytes];
-    ASSERT_TRUE(s.recv_all_or_eof(header, sizeof(header)));
-    EXPECT_EQ(decode_frame_header(header, kDefaultMaxFrameBytes).opcode,
-              Opcode::kError);
+    expect_error_frame(s, StatusCode::kNetwork, "exceeds the 1048576-byte");
+    expect_closed(s);
   }
 
   // 4. Unknown opcode: the frame boundary is intact, so the server answers
   //    kError and the SAME session keeps serving well-formed requests.
   {
     Socket s = Socket::connect("127.0.0.1", server_->port());
-    s.send_all(encode_frame(static_cast<Opcode>(0x6E), {}));
-    uint8_t header[kFrameHeaderBytes];
-    ASSERT_TRUE(s.recv_all_or_eof(header, sizeof(header)));
-    FrameHeader fh = decode_frame_header(header, kDefaultMaxFrameBytes);
-    EXPECT_EQ(fh.opcode, Opcode::kError);
-    Bytes body(fh.payload_length);
-    s.recv_all(body.data(), body.size());
+    s.send_all(
+        encode_request_frame(static_cast<Opcode>(0x6E), {}, RequestExt{}));
+    expect_error_frame(s, StatusCode::kNetwork, "unknown request opcode 110");
 
-    s.send_all(encode_frame(Opcode::kPing, {}));
+    s.send_all(encode_request_frame(Opcode::kPing, {}, RequestExt{}));
+    uint8_t header[kFrameHeaderBytes];
     ASSERT_TRUE(s.recv_all_or_eof(header, sizeof(header)));
     EXPECT_EQ(decode_frame_header(header, kDefaultMaxFrameBytes).opcode,
               Opcode::kOkPong);
   }
 
-  // 5. Truncated header: client disconnects mid-header.
+  // 5. Truncated header: the client hangs up mid-header.
   {
     Socket s = Socket::connect("127.0.0.1", server_->port());
-    Bytes partial = {'W', 'R', kWireVersion};
-    s.send_all(partial);
-    s.close();
+    Bytes partial = encode_request_frame(Opcode::kPing, {}, RequestExt{});
+    partial.resize(3);
+    send_then_hang_up(s, partial);
+    expect_error_frame(s, StatusCode::kNetwork,
+                       "closed inside a request frame (3 bytes");
+    expect_closed(s);
   }
 
   // 6. Payload shorter than declared (valid header, then hang up).
@@ -435,10 +445,12 @@ TEST_F(NetServerTest, MalformedFramesAreSurvivable) {
     Socket s = Socket::connect("127.0.0.1", server_->port());
     WireWriter w;
     w.string("SELECT 1");
-    Bytes frame = encode_frame(Opcode::kExecSql, w.bytes());
+    Bytes frame = encode_request_frame(Opcode::kExecSql, w.bytes(), {});
     frame.resize(frame.size() - 4);
-    s.send_all(frame);
-    s.close();
+    send_then_hang_up(s, frame);
+    expect_error_frame(s, StatusCode::kNetwork,
+                       "closed inside a request frame");
+    expect_closed(s);
   }
 
   // 7. Structurally bad payload: a request whose body fails bounds checks.
@@ -447,21 +459,17 @@ TEST_F(NetServerTest, MalformedFramesAreSurvivable) {
     Socket s = Socket::connect("127.0.0.1", server_->port());
     WireWriter w;
     w.u32(0xffffffffu);  // string length far beyond the payload
-    s.send_all(encode_frame(Opcode::kExecSql, w.bytes()));
-    uint8_t header[kFrameHeaderBytes];
-    ASSERT_TRUE(s.recv_all_or_eof(header, sizeof(header)));
-    FrameHeader fh = decode_frame_header(header, kDefaultMaxFrameBytes);
-    EXPECT_EQ(fh.opcode, Opcode::kError);
-    Bytes body(fh.payload_length);
-    s.recv_all(body.data(), body.size());
+    s.send_all(encode_request_frame(Opcode::kExecSql, w.bytes(), {}));
+    expect_error_frame(s, StatusCode::kNetwork, "truncated payload");
 
-    s.send_all(encode_frame(Opcode::kPing, {}));
+    s.send_all(encode_request_frame(Opcode::kPing, {}, RequestExt{}));
+    uint8_t header[kFrameHeaderBytes];
     ASSERT_TRUE(s.recv_all_or_eof(header, sizeof(header)));
     EXPECT_EQ(decode_frame_header(header, kDefaultMaxFrameBytes).opcode,
               Opcode::kOkPong);
   }
 
-  EXPECT_GE(server_->protocol_errors(), errors_before + 5);
+  EXPECT_EQ(server_->protocol_errors(), errors_before + 7);
 
   // After all of the above the server still answers a well-formed client.
   RemoteConnection remote = client();
@@ -609,50 +617,135 @@ TEST_F(NetServerTest, ConcurrentClientsSeeConsistentResults) {
   EXPECT_GE(server_->sessions_accepted(), static_cast<uint64_t>(kThreads));
 }
 
-TEST_F(NetServerTest, V1FramedClientMatchesV2Client) {
-  // Pre-extension (v1) frames carry no idempotency key, deadline or tenant
-  // id. The epoll core must serve them exactly like v2 traffic: same
-  // results, same session reuse, zero protocol errors.
-  RemoteConnection v2 = client();
-  v2.create_table("kv", kv_schema());
-  std::vector<sql::Row> rows;
-  for (int64_t i = 0; i < 30; ++i) {
-    rows.push_back({sql::Value::int64(i), sql::Value::int64(i % 3),
-                    sql::Value::blob(Bytes{static_cast<uint8_t>(i)})});
+TEST_F(NetServerTest, OldFrameFormatsAreRejected) {
+  // There is one frame format. A frame in a retired layout, or a request
+  // that ends inside its extension, is a fatal protocol error: a typed
+  // NetworkError frame, then the session closes.
+  const uint64_t errors_before = server_->protocol_errors();
+
+  // A version-1 ping: header + payload, no extension.
+  {
+    Socket s = Socket::connect("127.0.0.1", server_->port());
+    s.send_all(Bytes{'W', 'R', 1, static_cast<uint8_t>(Opcode::kPing), 0, 0,
+                     0, 0});
+    expect_error_frame(s, StatusCode::kNetwork,
+                       "unsupported protocol version 1");
+    expect_closed(s);
   }
-  v2.insert_batch("kv", rows);
 
-  Socket s = Socket::connect("127.0.0.1", server_->port());
-  auto v1_roundtrip = [&](Opcode op, const Bytes& payload, Opcode expected) {
-    s.send_all(encode_frame(op, payload));
-    uint8_t header[kFrameHeaderBytes];
-    s.recv_all(header, sizeof(header));
-    FrameHeader fh = decode_frame_header(header, kDefaultMaxFrameBytes);
-    EXPECT_EQ(fh.opcode, expected);
-    Bytes body(fh.payload_length);
-    if (fh.payload_length > 0) s.recv_all(body.data(), body.size());
-    return body;
-  };
+  // The previous request layout: version byte 2, an ext_len byte, then a
+  // 31-byte extension.
+  {
+    Socket s = Socket::connect("127.0.0.1", server_->port());
+    Bytes old = encode_request_frame(Opcode::kPing, {}, RequestExt{});
+    old[2] = 2;
+    old.insert(old.begin() + kFrameHeaderBytes,
+               static_cast<uint8_t>(kRequestExtensionBytes));
+    s.send_all(old);
+    expect_error_frame(s, StatusCode::kNetwork,
+                       "unsupported protocol version 2");
+    expect_closed(s);
+  }
 
-  v1_roundtrip(Opcode::kPing, {}, Opcode::kOkPong);
+  // A current header whose request ends 11 bytes into its extension (the
+  // length of the old 23-byte form's flags, deadline and part of the key).
+  {
+    Socket s = Socket::connect("127.0.0.1", server_->port());
+    Bytes cut = encode_request_frame(Opcode::kPing, {}, RequestExt{});
+    cut.resize(kFrameHeaderBytes + 11);
+    send_then_hang_up(s, cut);
+    expect_error_frame(s, StatusCode::kNetwork,
+                       "closed inside a request frame (19 bytes");
+    expect_closed(s);
+  }
 
-  WireWriter count_w;
-  count_w.string("kv");
-  Bytes count_body =
-      v1_roundtrip(Opcode::kRowCount, count_w.bytes(), Opcode::kOkCount);
-  WireReader count_r(count_body);
-  EXPECT_EQ(count_r.u64(), 30u);
+  EXPECT_EQ(server_->protocol_errors(), errors_before + 3);
 
-  const std::string sql = "SELECT id FROM kv WHERE tag IN (1)";
-  WireWriter sql_w;
-  sql_w.string(sql);
-  Bytes sql_body =
-      v1_roundtrip(Opcode::kExecSql, sql_w.bytes(), Opcode::kOkResult);
-  WireReader sql_r(sql_body);
-  sql::ResultSet via_v1 = decode_result_set(sql_r);
-  sql_r.expect_end();
-  EXPECT_EQ(via_v1.rows, v2.execute(sql).rows);
-  EXPECT_EQ(server_->protocol_errors(), 0u);
+  // A new well-formed connection is still served.
+  RemoteConnection remote = client();
+  remote.ping();
+  EXPECT_FALSE(remote.has_table("kv"));
+}
+
+// Sends one request frame and returns the response frame.
+Frame raw_roundtrip(Socket& s, Opcode op, ByteView payload) {
+  s.send_all(encode_request_frame(op, payload, RequestExt{}));
+  uint8_t header[kFrameHeaderBytes];
+  s.recv_all(header, sizeof(header));
+  FrameHeader fh = decode_frame_header(header, kDefaultMaxFrameBytes);
+  Frame f{fh.opcode, Bytes(fh.payload_length)};
+  if (fh.payload_length > 0) s.recv_all(f.payload.data(), f.payload.size());
+  return f;
+}
+
+TEST(NetServerReadPath, EveryReadOpcodeMatchesExecuteSelect) {
+  // kScanTable, kTagScan and kExecSql reads share one server read path:
+  // each answer is byte-for-byte encode_result_set(execute_select(stmt))
+  // of the statement the request stands for, counters included, whether
+  // the columnar wire encoding or the row executor serves it.
+  for (bool columnar : {false, true}) {
+    SCOPED_TRACE(columnar ? "columnar" : "row");
+    TempDir dir;
+    sql::DatabaseOptions db_options;
+    db_options.columnar = columnar;
+    sql::Database db(dir.str(), db_options);
+    db.create_table("kv", kv_schema());
+    db.create_index("kv", "tag");
+    std::vector<sql::Row> rows;
+    for (int64_t i = 0; i < 64; ++i) {
+      rows.push_back({sql::Value::int64(i), sql::Value::int64(i % 4),
+                      sql::Value::blob(Bytes{static_cast<uint8_t>(i)})});
+    }
+    db.insert_batch("kv", rows);
+    Server server(db, {});
+    server.start();
+    Socket s = Socket::connect("127.0.0.1", server.port());
+
+    auto expect_same = [&](Opcode op, const Bytes& payload,
+                           const sql::SelectStmt& stmt) {
+      SCOPED_TRACE(opcode_name(op));
+      Frame got = raw_roundtrip(s, op, payload);
+      ASSERT_EQ(got.opcode, Opcode::kOkResult);
+      WireWriter want;
+      encode_result_set(db.execute_select(stmt), want);
+      EXPECT_EQ(got.payload, want.bytes());
+    };
+
+    sql::SelectStmt scan;
+    scan.star = true;
+    scan.table = "kv";
+    EXPECT_EQ(db.execute_select(scan).used_columnar, columnar);
+    WireWriter scan_req;
+    scan_req.string("kv");
+    expect_same(Opcode::kScanTable, scan_req.bytes(), scan);
+
+    for (bool star : {false, true}) {
+      sql::SelectStmt probe;
+      probe.star = star;
+      if (!star) probe.columns = {"id"};
+      probe.table = "kv";
+      probe.where = sql::Expr::in_list(
+          "tag", {sql::Value::tag(1), sql::Value::tag(3)});
+      WireWriter req;
+      req.string("kv");
+      req.string("tag");
+      req.u8(star ? 1 : 0);
+      req.u32(2);
+      req.u64(1);
+      req.u64(3);
+      expect_same(Opcode::kTagScan, req.bytes(), probe);
+    }
+
+    for (const char* sql : {"SELECT * FROM kv LIMIT 10",
+                            "SELECT id, payload FROM kv WHERE tag IN (2)"}) {
+      WireWriter req;
+      req.string(sql);
+      expect_same(Opcode::kExecSql, req.bytes(),
+                  std::get<sql::SelectStmt>(sql::parse_statement(sql)));
+    }
+    s.close();
+    server.stop();
+  }
 }
 
 TEST(NetServerIsolation, StalledClientDoesNotDelayOthers) {
@@ -683,7 +776,8 @@ TEST(NetServerIsolation, StalledClientDoesNotDelayOthers) {
   Socket stalled = Socket::connect("127.0.0.1", server.port());
   WireWriter w;
   w.string("kv");
-  stalled.send_all(encode_frame(Opcode::kScanTable, w.bytes()));
+  stalled.send_all(
+      encode_request_frame(Opcode::kScanTable, w.bytes(), RequestExt{}));
 
   // A concurrent client with no retries and a short response timeout: if
   // the stalled scan blocked the worker or the event loop, these fail.
@@ -718,6 +812,12 @@ TEST(NetServerDrain, DrainAnswersAlreadySubmittedPipeline) {
     tickets.push_back(ch.submit(Opcode::kPing, {}, ext));
   }
   ch.flush();  // all 50 frames are on the wire before the drain starts
+  // ...and the server has accepted the connection: a drain closes the
+  // listener, and a connection still in its backlog was never received.
+  for (int i = 0; i < 500 && server.live_sessions() < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(server.live_sessions(), 1u);
   std::thread stopper([&] { server.stop(); });
   int answered = 0;
   for (uint64_t t : tickets) {
