@@ -1,5 +1,4 @@
-// Client-side transport that speaks the wire protocol to one wre_server —
-// or to a horizontal fleet of them via tag-space scatter-gather.
+// Client-side transport that speaks the wire protocol to one wre_server.
 //
 // RemoteConnection implements core::DbTransport, so the entire WRE layer
 // (EncryptedConnection, IngestPipeline) runs unchanged on the client: salts,
@@ -8,38 +7,21 @@
 // never sees a key, a plaintext, or a query term; its view is exactly the
 // honest-but-curious adversary's view from the paper.
 //
-// Topology: construct with one endpoint for the classic single-server
-// transport, or with an ordered shard map (list position = shard index).
-// Sharded routing follows src/net/shard.h:
-//   - DDL (create_table / create_index) broadcasts to every shard;
-//   - insert_batch partitions rows by the hash of their shard-key tag and
-//     reassembles the returned ids into input order;
-//   - tag_scan partitions its probe list per shard when querying the
-//     shard-key column, and broadcasts the full list otherwise — either
-//     way the per-shard result sets are disjoint and concatenated in
-//     shard order;
-//   - execute() (SELECT only when sharded — result rows are concatenated,
-//     so aggregates would be wrong), scan() and row_count() broadcast;
-//     has_table()/table_schema() ask shard 0 (DDL keeps shards uniform).
-// On first sharded use the client round-trips kShardInfo to every shard
-// and fails loudly if any server's --shard-index/--shard-count disagrees
-// with the map, catching a mis-wired fleet before data lands anywhere.
-//
 // Transport behaviour:
-//   - per-shard channel pools (RemoteOptions::connections_per_shard) of
-//     pipelined connections: a scatter submits every sub-request before
-//     awaiting any response, so shards — and pipelined requests on one
-//     connection — overlap instead of serializing;
+//   - a pool of pipelined connections (RemoteOptions::connections_per_shard
+//     of them stay open); each call leases one exclusively, so concurrent
+//     callers use separate sockets. execute_pipelined() submits every
+//     request before awaiting any response, so the server executes one
+//     statement while the next is still in flight;
 //   - safe retries for *every* request, mutating ones included: each
-//     logical sub-request is stamped with a fresh random idempotency key
-//     (the request extension) that stays constant across its retries, so
-//     the server's dedup cache replays — never re-executes — a mutation
-//     whose ACK was lost. Transport failures and kOverloaded responses
-//     retry under capped exponential backoff with jitter, bounded by
+//     logical request is stamped with a fresh random idempotency key (the
+//     request extension) that stays constant across its retries, so the
+//     server's dedup cache replays — never re-executes — a mutation whose
+//     ACK was lost. Transport failures and kOverloaded responses retry
+//     under capped exponential backoff with jitter, bounded by
 //     RetryOptions: an attempt cap, an overall deadline, and a token
 //     budget that stops a flapping link from turning into a retry storm.
-//     Each sub-request retries against its own shard only — one slow
-//     shard never forces re-work on the others;
+//     Each request of a pipelined batch retries independently;
 //   - when retries stop, the caller gets RetriesExhaustedError naming the
 //     attempt count, elapsed time and last underlying error;
 //   - kError responses re-throw as the same wre::Error subclass the server
@@ -49,17 +31,13 @@
 #pragma once
 
 #include <atomic>
-#include <map>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/core/transport.h"
 #include "src/crypto/secure_random.h"
 #include "src/net/channel.h"
-#include "src/net/shard.h"
 #include "src/net/wire.h"
 #include "src/util/rng.h"
 
@@ -98,41 +76,27 @@ struct RemoteOptions {
   /// single-tenant space. Carries no cryptographic authority — the
   /// tenant's keys stay client-side (crypto::TenantKeyring).
   uint64_t tenant_id = 0;
-  /// Steady-state pooled connections per shard. Concurrent demand beyond
-  /// this creates temporary connections that are dropped when released.
+  /// Steady-state pooled connections to the server. Concurrent demand
+  /// beyond this creates temporary connections that are dropped when
+  /// released.
   size_t connections_per_shard = 1;
-  /// Verify each shard's --shard-index/--shard-count against the endpoint
-  /// map (kShardInfo) before the first sharded operation. On by default;
-  /// tests pointing several "shards" at one server turn it off.
-  bool verify_topology = true;
   RetryOptions retry;
 };
 
 /// Client-side fault-tolerance counters (cumulative). `requests` counts
-/// wire-level sub-requests: a scatter over 3 shards is 3 requests.
+/// logical wire requests: a pipelined batch of 16 statements is 16.
 struct RemoteStats {
-  uint64_t requests = 0;    // sub-requests issued
+  uint64_t requests = 0;    // logical requests issued
   uint64_t retries = 0;     // extra attempts beyond the first
   uint64_t overloaded = 0;  // kOverloaded responses received
   uint64_t exhausted = 0;   // requests that ended in RetriesExhaustedError
-  uint64_t fanouts = 0;     // sharded operations that touched >1 shard
 };
 
 class RemoteConnection final : public core::DbTransport {
  public:
-  /// Single-server transport (shard count 1).
   RemoteConnection(std::string host, uint16_t port, RemoteOptions options = {});
-  /// Scatter-gather transport over an ordered shard map. Throws
-  /// NetworkError if `shards` is empty.
-  RemoteConnection(std::vector<ShardEndpoint> shards,
-                   RemoteOptions options = {});
 
-  uint32_t shard_count() const {
-    return static_cast<uint32_t>(pools_.size());
-  }
-
-  /// Round-trips a kPing to every shard; throws NetworkError if any is
-  /// unreachable.
+  /// Round-trips a kPing; throws NetworkError if the server is unreachable.
   void ping();
 
   /// Drops all pooled connections; subsequent requests reconnect.
@@ -144,12 +108,10 @@ class RemoteConnection final : public core::DbTransport {
 
   RemoteStats stats() const;
 
-  /// Executes a batch of read-only SQL statements pipelined on one
-  /// connection per shard: every request frame is written before any
-  /// response is read, so a statement's server-side execution overlaps the
-  /// next statement's network transfer. Results come back in input order.
-  /// Sharded transports broadcast each statement and concatenate rows
-  /// (SELECT only, like execute()).
+  /// Executes a batch of SQL statements pipelined on one connection: every
+  /// request frame is written before any response is read, so a
+  /// statement's server-side execution overlaps the next statement's
+  /// network transfer. Results come back in input order.
   std::vector<sql::ResultSet> execute_pipelined(
       const std::vector<std::string>& sqls);
 
@@ -172,44 +134,19 @@ class RemoteConnection final : public core::DbTransport {
                           bool star) override;
 
  private:
-  /// One sub-request of a scatter: an opcode + payload bound for `shard`.
-  struct Sub {
-    uint32_t shard = 0;
-    Bytes payload;
-  };
-
-  /// Executes a set of sub-requests under the retry policy. Sub-requests
-  /// for the same shard are pipelined on one leased channel (submitted in
-  /// order before any await); each sub retries independently with its own
-  /// idempotency key, attempt count and backoff. Returns payloads in
-  /// `subs` order. On any terminal failure, finishes/settles the other
-  /// subs first, then rethrows the first terminal error in subs order.
-  std::vector<Bytes> scatter(Opcode request, const std::vector<Sub>& subs,
-                             Opcode expected);
-  /// Single-sub convenience wrapper.
-  Bytes roundtrip(uint32_t shard, Opcode request, ByteView payload,
-                  Opcode expected);
-  /// Broadcasts one payload to all shards and returns per-shard payloads.
-  std::vector<Bytes> broadcast(Opcode request, ByteView payload,
-                               Opcode expected);
-  /// Broadcast + decode_result_set + row concatenation in shard order.
-  sql::ResultSet broadcast_result(Opcode request, ByteView payload);
-
-  /// First sharded use: kShardInfo every shard, verify index/count match
-  /// the endpoint map. No-op for shard count 1 or verify_topology=false.
-  void ensure_topology();
-
-  /// Shard-key column (index + lower-cased name) of `table`, fetching and
-  /// caching the schema from shard 0 on first sight. An unset index means
-  /// a tag-less table, which lives wholly on shard 0.
-  struct ShardKey {
-    std::optional<size_t> index;
-    std::string column;
-  };
-  ShardKey shard_key_for(const std::string& table);
+  /// Executes one request per payload under the retry policy, pipelined on
+  /// one leased channel (every frame is submitted before any await). Each
+  /// request retries independently with its own idempotency key, attempt
+  /// count and backoff. Returns response payloads in `payloads` order. On
+  /// any terminal failure, settles the other requests first, then rethrows
+  /// the first terminal error in `payloads` order.
+  std::vector<Bytes> pipeline(Opcode request, const std::vector<Bytes>& payloads,
+                              Opcode expected);
+  /// Single-request convenience wrapper.
+  Bytes roundtrip(Opcode request, ByteView payload, Opcode expected);
 
   RemoteOptions options_;
-  std::vector<std::unique_ptr<ChannelPool>> pools_;
+  ChannelPool pool_;
 
   std::atomic<uint64_t> tenant_id_;
 
@@ -218,17 +155,10 @@ class RemoteConnection final : public core::DbTransport {
   Xoshiro256 jitter_rng_;         // backoff jitter
   double budget_;                 // retry tokens remaining
 
-  std::mutex topo_mu_;
-  bool topology_verified_ = false;
-
-  std::mutex schema_mu_;
-  std::map<std::string, ShardKey> shard_key_cache_;
-
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> overloaded_{0};
   std::atomic<uint64_t> exhausted_{0};
-  std::atomic<uint64_t> fanouts_{0};
 };
 
 }  // namespace wre::net

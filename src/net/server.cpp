@@ -527,7 +527,8 @@ void Server::parse_frames(Conn* c) {
   }
   // The peer half-closed inside a frame (header, extension or payload):
   // that request can never complete, so answer it as malformed. At the
-  // pending cap, inbuf may still hold whole frames, so nothing is judged.
+  // pending cap, inbuf may still hold whole frames, so nothing is judged
+  // until drain_completions() parses again.
   if (c->saw_eof && !c->parse_dead &&
       c->pending.size() < options_.max_pipelined_requests &&
       c->inbuf_off < c->inbuf.size()) {
@@ -618,6 +619,10 @@ void Server::drain_completions() {
     c->outbuf.insert(c->outbuf.end(), comp.bytes.begin(), comp.bytes.end());
     frames_served_.fetch_add(comp.frames);
     touch(c);
+    // A burst deeper than max_pipelined_requests leaves whole frames (and
+    // perhaps a cut-off tail) in inbuf. The socket is already drained, so
+    // no EPOLLIN brings them back: parse them now that the queue has room.
+    if (c->inbuf_off < c->inbuf.size()) parse_frames(c);
     maybe_dispatch(c);
     flush_outbuf(c);
     if (c->dead) continue;
@@ -833,12 +838,6 @@ Frame Server::handle_request(Opcode op, ByteView payload,
     case Opcode::kPing: {
       r.expect_end();
       return Frame{Opcode::kOkPong, {}};
-    }
-    case Opcode::kShardInfo: {
-      r.expect_end();
-      w.u32(options_.shard_index);
-      w.u32(options_.shard_count);
-      return Frame{Opcode::kOkShardInfo, std::move(w.bytes())};
     }
     case Opcode::kExecSql: {
       std::string sql = r.string();

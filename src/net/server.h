@@ -35,16 +35,11 @@
 //     responses for retried mutations, so a retry after a lost ACK cannot
 //     double-apply (exactly-once ingest);
 //   - backpressure: a connection with too many parsed-but-unexecuted
-//     requests stops being read; one with too many unflushed response
+//     requests stops being read (frames already buffered past the cap are
+//     parsed as its queue drains); one with too many unflushed response
 //     bytes stops executing. A client that never reads its responses is
 //     eventually idle-reaped (it is not sending either) — it never delays
 //     any other connection.
-//
-// Sharding: a shard is simply a Server owning a hash-partition of the tag
-// space. shard_index/shard_count are topology metadata the server reports
-// through the kShardInfo handshake so a scatter-gather client can verify
-// each endpoint agrees on the map; routing itself is client-side
-// (src/net/shard.h).
 //
 // Shutdown (stop(), also wired to SIGTERM in wre_server): the listener
 // stops accepting, idle connections are closed, requests already received
@@ -116,10 +111,6 @@ struct ServerOptions {
   /// Past it request execution for that connection pauses until the peer
   /// drains (a never-reading client is idle-reaped, not ballooned).
   size_t max_outbuf_bytes = 8u << 20;
-  /// Shard topology this server believes it is part of (reported through
-  /// the kShardInfo handshake; defaults describe an unsharded server).
-  uint32_t shard_index = 0;
-  uint32_t shard_count = 1;
 };
 
 class Server {

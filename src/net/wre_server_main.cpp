@@ -9,15 +9,7 @@
 //              [--threads=0] [--read-timeout-ms=60000] [--max-frame-mb=64]
 //              [--query-threads=1] [--wal=1] [--checkpoint-interval-ms=60000]
 //              [--max-connections=0] [--request-deadline-ms=0]
-//              [--shard-index=0] [--shard-count=1] [--columnar=0]
-//
-// Sharding: a fleet of wre_servers can split the tag space horizontally.
-// Each process declares its position with --shard-index/--shard-count and
-// answers the kShardInfo handshake with it; the scatter-gather client
-// (RemoteConnection with a shard map) verifies every endpoint against the
-// map before the first sharded operation, so a mis-wired fleet fails
-// loudly instead of scattering rows to the wrong servers. The server
-// itself does not filter by tag — placement is entirely the client's job.
+//              [--columnar=0]
 //
 // Multi-tenancy: one wre_server serves any number of tenants over a shared
 // table — clients stamp a tenant id into each request (scoping the
@@ -77,8 +69,6 @@ struct Flags {
   long checkpoint_interval_ms = 60000;
   long max_connections = 0;
   long request_deadline_ms = 0;
-  long shard_index = 0;
-  long shard_count = 1;
   long columnar = 0;
 };
 
@@ -90,7 +80,6 @@ struct Flags {
                "                  [--max-frame-mb=N] [--query-threads=N]\n"
                "                  [--wal=0|1] [--checkpoint-interval-ms=N]\n"
                "                  [--max-connections=N] [--request-deadline-ms=N]\n"
-               "                  [--shard-index=N] [--shard-count=N]\n"
                "                  [--columnar=0|1]\n",
                message.c_str());
   std::exit(2);
@@ -139,10 +128,6 @@ Flags parse_flags(int argc, char** argv) {
       flags.max_connections = parse_long(key, val);
     } else if (key == "--request-deadline-ms") {
       flags.request_deadline_ms = parse_long(key, val);
-    } else if (key == "--shard-index") {
-      flags.shard_index = parse_long(key, val);
-    } else if (key == "--shard-count") {
-      flags.shard_count = parse_long(key, val);
     } else if (key == "--columnar") {
       flags.columnar = parse_long(key, val);
     } else {
@@ -160,12 +145,6 @@ Flags parse_flags(int argc, char** argv) {
   }
   if (flags.request_deadline_ms < 0) {
     usage_error("--request-deadline-ms must be >= 0");
-  }
-  if (flags.shard_count <= 0) {
-    usage_error("--shard-count must be positive");
-  }
-  if (flags.shard_index < 0 || flags.shard_index >= flags.shard_count) {
-    usage_error("--shard-index must be in [0, --shard-count)");
   }
   return flags;
 }
@@ -225,8 +204,6 @@ int main(int argc, char** argv) {
     options.max_connections = static_cast<size_t>(flags.max_connections);
     options.request_deadline_ms =
         static_cast<uint32_t>(flags.request_deadline_ms);
-    options.shard_index = static_cast<uint32_t>(flags.shard_index);
-    options.shard_count = static_cast<uint32_t>(flags.shard_count);
 
     wre::net::Server server(db, options);
     server.start();

@@ -1,10 +1,13 @@
 // The network service layer: wire codec round-trips, error-status mapping,
-// malformed-frame handling against a live server, RemoteConnection
-// transport semantics, and graceful drain.
+// malformed-frame handling against a live server, pipelined-channel and
+// RemoteConnection transport semantics, deep pipelined bursts, a seeded
+// framing-stream model check, and graceful drain.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <limits>
+#include <optional>
 #include <thread>
 
 #include "src/net/channel.h"
@@ -14,6 +17,7 @@
 #include "src/net/wire.h"
 #include "src/sql/database.h"
 #include "src/sql/parser.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 using namespace wre;
@@ -311,6 +315,25 @@ void expect_closed(Socket& s) {
   EXPECT_FALSE(s.recv_all_or_eof(&byte, 1));
 }
 
+// Reads one response frame, or nullopt if the server closed the session
+// before sending its header.
+std::optional<Frame> read_frame(Socket& s) {
+  uint8_t header[kFrameHeaderBytes];
+  if (!s.recv_all_or_eof(header, sizeof(header))) return std::nullopt;
+  FrameHeader fh = decode_frame_header(header, kDefaultMaxFrameBytes);
+  Frame f{fh.opcode, Bytes(fh.payload_length)};
+  if (fh.payload_length > 0) s.recv_all(f.payload.data(), f.payload.size());
+  return f;
+}
+
+// Sends one request frame and returns the response frame.
+Frame raw_roundtrip(Socket& s, Opcode op, ByteView payload) {
+  s.send_all(encode_request_frame(op, payload, RequestExt{}));
+  std::optional<Frame> f = read_frame(s);
+  if (!f) throw NetworkError("server closed the session");
+  return std::move(*f);
+}
+
 // Sends `bytes`, then half-closes so the server sees the hangup.
 void send_then_hang_up(Socket& s, const Bytes& bytes) {
   s.send_all(bytes);
@@ -414,13 +437,15 @@ TEST_F(NetServerTest, MalformedFramesAreSurvivable) {
     expect_closed(s);
   }
 
-  // 4. Unknown opcode: the frame boundary is intact, so the server answers
-  //    kError and the SAME session keeps serving well-formed requests.
-  {
+  // 4. Unknown opcodes (0x0B was assigned once and then retired): the
+  //    frame boundary is intact, so the server answers kError and the SAME
+  //    session keeps serving well-formed requests.
+  for (uint8_t op : {uint8_t{0x6E}, uint8_t{0x0B}}) {
     Socket s = Socket::connect("127.0.0.1", server_->port());
     s.send_all(
-        encode_request_frame(static_cast<Opcode>(0x6E), {}, RequestExt{}));
-    expect_error_frame(s, StatusCode::kNetwork, "unknown request opcode 110");
+        encode_request_frame(static_cast<Opcode>(op), {}, RequestExt{}));
+    expect_error_frame(s, StatusCode::kNetwork,
+                       "unknown request opcode " + std::to_string(op));
 
     s.send_all(encode_request_frame(Opcode::kPing, {}, RequestExt{}));
     uint8_t header[kFrameHeaderBytes];
@@ -469,7 +494,7 @@ TEST_F(NetServerTest, MalformedFramesAreSurvivable) {
               Opcode::kOkPong);
   }
 
-  EXPECT_EQ(server_->protocol_errors(), errors_before + 7);
+  EXPECT_EQ(server_->protocol_errors(), errors_before + 8);
 
   // After all of the above the server still answers a well-formed client.
   RemoteConnection remote = client();
@@ -667,15 +692,92 @@ TEST_F(NetServerTest, OldFrameFormatsAreRejected) {
   EXPECT_FALSE(remote.has_table("kv"));
 }
 
-// Sends one request frame and returns the response frame.
-Frame raw_roundtrip(Socket& s, Opcode op, ByteView payload) {
-  s.send_all(encode_request_frame(op, payload, RequestExt{}));
-  uint8_t header[kFrameHeaderBytes];
-  s.recv_all(header, sizeof(header));
-  FrameHeader fh = decode_frame_header(header, kDefaultMaxFrameBytes);
-  Frame f{fh.opcode, Bytes(fh.payload_length)};
-  if (fh.payload_length > 0) s.recv_all(f.payload.data(), f.payload.size());
-  return f;
+// ---------------------------------------------------------------------------
+// Pipelined bursts deeper than ServerOptions::max_pipelined_requests (128).
+// The server stops parsing at the cap with whole frames still buffered;
+// it must parse them as its queue drains, because the socket is already
+// empty and no read event will come for them.
+
+constexpr int kDeepBurst = 300;
+
+Bytes ping_burst(int n) {
+  Bytes burst;
+  for (int i = 0; i < n; ++i) {
+    Bytes f = encode_request_frame(Opcode::kPing, {}, RequestExt{});
+    burst.insert(burst.end(), f.begin(), f.end());
+  }
+  return burst;
+}
+
+// Reads `n` responses that must all be kOkPong.
+void expect_pongs(Socket& s, int n) {
+  for (int i = 0; i < n; ++i) {
+    std::optional<Frame> f = read_frame(s);
+    ASSERT_TRUE(f.has_value()) << "closed after " << i << " answers";
+    ASSERT_EQ(f->opcode, Opcode::kOkPong) << "answer " << i;
+  }
+}
+
+TEST_F(NetServerTest, DeepPingBurstIsAnsweredInOrder) {
+  Socket s = Socket::connect("127.0.0.1", server_->port());
+  s.set_recv_timeout_ms(5000);
+  s.send_all(ping_burst(kDeepBurst));
+  ASSERT_NO_FATAL_FAILURE(expect_pongs(s, kDeepBurst));
+  // The session is still in step: one more request, one more answer.
+  EXPECT_EQ(raw_roundtrip(s, Opcode::kPing, {}).opcode, Opcode::kOkPong);
+}
+
+TEST_F(NetServerTest, CutOffTailAfterDeepBurstIsReported) {
+  const uint64_t errors_before = server_->protocol_errors();
+  Socket s = Socket::connect("127.0.0.1", server_->port());
+  s.set_recv_timeout_ms(5000);
+  Bytes stream = ping_burst(kDeepBurst);
+  WireWriter w;
+  w.string("SELECT id FROM kv");
+  Bytes tail = encode_request_frame(Opcode::kExecSql, w.bytes(), {});
+  tail.resize(tail.size() - 4);  // frame 301 ends inside its payload
+  stream.insert(stream.end(), tail.begin(), tail.end());
+  send_then_hang_up(s, stream);
+  ASSERT_NO_FATAL_FAILURE(expect_pongs(s, kDeepBurst));
+  expect_error_frame(s, StatusCode::kNetwork,
+                     "closed inside a request frame (" +
+                         std::to_string(tail.size()) + " bytes");
+  expect_closed(s);
+  EXPECT_EQ(server_->protocol_errors(), errors_before + 1);
+}
+
+TEST_F(NetServerTest, PipelinedExecuteMatchesSequentialExecute) {
+  // One attempt and a bounded wait: a server that stalls on a deep
+  // pipeline fails here instead of being papered over by a reconnect.
+  RemoteOptions strict;
+  strict.response_timeout_ms = 5000;
+  strict.retry.max_attempts = 1;
+  RemoteConnection remote("127.0.0.1", server_->port(), strict);
+  remote.create_table("kv", kv_schema());
+  remote.create_index("kv", "tag");
+  std::vector<sql::Row> rows;
+  for (int64_t i = 0; i < 200; ++i) {
+    rows.push_back({sql::Value::int64(i), sql::Value::int64(i % 17),
+                    sql::Value::blob(Bytes{static_cast<uint8_t>(i)})});
+  }
+  remote.insert_batch("kv", rows);
+
+  std::vector<std::string> sqls;
+  for (int q = 0; q < kDeepBurst; ++q) {
+    sqls.push_back(q % 2 == 0 ? "SELECT id FROM kv WHERE tag IN (" +
+                                    std::to_string(q % 17) + ")"
+                              : "SELECT * FROM kv WHERE tag IN (" +
+                                    std::to_string(q % 17) + ", " +
+                                    std::to_string((q + 5) % 17) + ")");
+  }
+  std::vector<sql::ResultSet> batch = remote.execute_pipelined(sqls);
+  ASSERT_EQ(batch.size(), sqls.size());
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    sql::ResultSet one = remote.execute(sqls[i]);
+    EXPECT_EQ(batch[i].columns, one.columns) << sqls[i];
+    EXPECT_EQ(batch[i].rows, one.rows) << sqls[i];
+  }
+  EXPECT_EQ(remote.stats().retries, 0u);
 }
 
 TEST(NetServerReadPath, EveryReadOpcodeMatchesExecuteSelect) {
@@ -804,7 +906,7 @@ TEST(NetServerDrain, DrainAnswersAlreadySubmittedPipeline) {
   Server server(db, {});
   server.start();
 
-  PipelinedChannel ch(ShardEndpoint{"127.0.0.1", server.port()},
+  PipelinedChannel ch(Endpoint{"127.0.0.1", server.port()},
                       kDefaultMaxFrameBytes, /*recv_timeout_ms=*/5000);
   RequestExt ext;
   std::vector<uint64_t> tickets;
@@ -825,6 +927,168 @@ TEST(NetServerDrain, DrainAnswersAlreadySubmittedPipeline) {
   }
   stopper.join();
   EXPECT_EQ(answered, 50);
+}
+
+// ---------------------------------------------------------------------------
+// Pipelined channel semantics against a live server.
+
+TEST(PipelinedChannel, OutOfOrderAwaitParksEarlierResponses) {
+  TempDir dir;
+  sql::Database db(dir.str());
+  Server server(db, {});
+  server.start();
+  {
+    PipelinedChannel ch(Endpoint{"127.0.0.1", server.port()},
+                        kDefaultMaxFrameBytes, 5000);
+    RequestExt ext;
+    uint64_t t0 = ch.submit(Opcode::kPing, {}, ext);
+    uint64_t t1 = ch.submit(Opcode::kPing, {}, ext);
+    uint64_t t2 = ch.submit(Opcode::kPing, {}, ext);
+    EXPECT_EQ(ch.in_flight(), 3u);
+    // Awaiting the newest ticket first forces reads past t0/t1, which must
+    // be parked and returned later — not lost, not reordered.
+    EXPECT_EQ(ch.await(t2).opcode, Opcode::kOkPong);
+    EXPECT_EQ(ch.await(t0).opcode, Opcode::kOkPong);
+    EXPECT_EQ(ch.await(t1).opcode, Opcode::kOkPong);
+    EXPECT_FALSE(ch.dead());
+    // A ticket can be redeemed exactly once.
+    EXPECT_THROW(ch.await(t1), NetworkError);
+  }
+  server.stop();
+}
+
+TEST(PipelinedChannel, TransportFailurePoisonsEveryLaterCall) {
+  TempDir dir;
+  sql::Database db(dir.str());
+  Server server(db, {});
+  server.start();
+  PipelinedChannel ch(Endpoint{"127.0.0.1", server.port()},
+                      kDefaultMaxFrameBytes, /*recv_timeout_ms=*/200);
+  RequestExt ext;
+  ch.submit(Opcode::kPing, {}, ext);
+  uint64_t never = ch.submit(Opcode::kPing, {}, ext);
+  server.stop();  // drain answers the pipeline, then closes
+  // Whatever the close/drain race yields, once the channel reports a
+  // transport failure every later call fails fast with the same reason.
+  try {
+    ch.await(never, 500);
+    ch.await(ch.submit(Opcode::kPing, {}, ext), 500);
+    FAIL() << "channel survived server shutdown indefinitely";
+  } catch (const NetworkError&) {
+  }
+  EXPECT_TRUE(ch.dead());
+  EXPECT_THROW(ch.submit(Opcode::kPing, {}, ext), NetworkError);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded framing-stream model check. Each schedule writes K in [1, 400]
+// requests as one byte stream, split at random offsets into random chunks,
+// and optionally half-closes at a random offset. The model: every whole
+// frame is answered, in order; a half-close inside a frame adds exactly one
+// "closed inside a request frame" error and then the close; a half-close
+// on a frame boundary closes cleanly. protocol_errors() counts exactly the
+// unknown-opcode frames plus the cut-off one.
+
+TEST(NetServerFraming, SeededStreamSchedulesMatchTheFramingModel) {
+  constexpr uint64_t kSchedules = 32;
+  constexpr uint64_t kMaxRequests = 400;
+  TempDir dir;
+  sql::Database db(dir.str());
+  db.create_table("kv", kv_schema());
+  std::vector<sql::Row> rows;
+  for (uint64_t i = 0; i < kMaxRequests; ++i) {
+    rows.push_back({sql::Value::int64(static_cast<int64_t>(i)),
+                    sql::Value::int64(static_cast<int64_t>(i % 4)),
+                    sql::Value::blob(Bytes{static_cast<uint8_t>(i)})});
+  }
+  db.insert_batch("kv", rows);
+  ServerOptions options;
+  options.worker_threads = 2;
+  options.read_timeout_ms = 5000;
+  Server server(db, options);
+  server.start();
+
+  enum Kind { kPingReq, kPointRead, kUnknownOp };
+  for (uint64_t seed = 1; seed <= kSchedules; ++seed) {
+    SCOPED_TRACE("schedule seed " + std::to_string(seed));
+    Xoshiro256 rng(seed);
+    const size_t k = 1 + rng.next_below(kMaxRequests);
+    std::vector<Kind> kinds(k);
+    std::vector<size_t> ends(k);  // stream offset just past frame i
+    Bytes stream;
+    for (size_t i = 0; i < k; ++i) {
+      const uint64_t pick = rng.next_below(8);
+      kinds[i] = pick == 0 ? kUnknownOp : pick < 4 ? kPingReq : kPointRead;
+      Bytes f;
+      if (kinds[i] == kPingReq) {
+        f = encode_request_frame(Opcode::kPing, {}, RequestExt{});
+      } else if (kinds[i] == kUnknownOp) {
+        f = encode_request_frame(static_cast<Opcode>(0x0B), {}, RequestExt{});
+      } else {
+        WireWriter w;
+        w.string("SELECT id FROM kv WHERE id = " + std::to_string(i));
+        f = encode_request_frame(Opcode::kExecSql, w.bytes(), RequestExt{});
+      }
+      stream.insert(stream.end(), f.begin(), f.end());
+      ends[i] = stream.size();
+    }
+    const bool hang_up = rng.next_below(2) == 0;
+    const size_t cut = hang_up ? rng.next_below(stream.size() + 1)
+                               : stream.size();
+    const size_t whole = static_cast<size_t>(
+        std::upper_bound(ends.begin(), ends.end(), cut) - ends.begin());
+    const size_t tail = cut - (whole > 0 ? ends[whole - 1] : 0);
+    const uint64_t expected_errors =
+        static_cast<uint64_t>(std::count(kinds.begin(),
+                                         kinds.begin() + whole, kUnknownOp)) +
+        (tail > 0 ? 1 : 0);
+
+    const uint64_t errors_before = server.protocol_errors();
+    Socket s = Socket::connect("127.0.0.1", server.port());
+    s.set_recv_timeout_ms(5000);
+    for (size_t off = 0; off < cut;) {
+      const size_t max_chunk = rng.next_below(2) == 0 ? 16 : 4096;
+      const size_t n = 1 + rng.next_below(std::min(cut - off, max_chunk));
+      s.send_all(ByteView(stream.data() + off, n));
+      off += n;
+      if (rng.next_below(8) == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
+    if (hang_up) {
+      ASSERT_EQ(::shutdown(s.fd(), SHUT_WR), 0);
+    }
+
+    for (size_t i = 0; i < whole; ++i) {
+      std::optional<Frame> f = read_frame(s);
+      ASSERT_TRUE(f.has_value()) << "closed after " << i << " of " << whole
+                                 << " answers";
+      if (kinds[i] == kPingReq) {
+        ASSERT_EQ(f->opcode, Opcode::kOkPong) << "answer " << i;
+      } else if (kinds[i] == kUnknownOp) {
+        ASSERT_EQ(f->opcode, Opcode::kError) << "answer " << i;
+        WireReader r(f->payload);
+        EXPECT_EQ(static_cast<StatusCode>(r.u16()), StatusCode::kNetwork);
+        EXPECT_NE(r.string().find("unknown request opcode 11"),
+                  std::string::npos);
+      } else {
+        ASSERT_EQ(f->opcode, Opcode::kOkResult) << "answer " << i;
+        WireReader r(f->payload);
+        sql::ResultSet rs = decode_result_set(r);
+        ASSERT_EQ(rs.rows.size(), 1u) << "answer " << i;
+        EXPECT_EQ(rs.rows[0][0].as_int64(), static_cast<int64_t>(i))
+            << "answer " << i << " is out of order";
+      }
+    }
+    if (tail > 0) {
+      expect_error_frame(s, StatusCode::kNetwork,
+                         "closed inside a request frame (" +
+                             std::to_string(tail) + " bytes");
+    }
+    if (hang_up) expect_closed(s);
+    EXPECT_EQ(server.protocol_errors(), errors_before + expected_errors);
+  }
+  server.stop();
 }
 
 }  // namespace
